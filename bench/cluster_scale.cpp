@@ -5,13 +5,13 @@
 // Two parts:
 //  - dumbbell scenarios: the fig4/fig6-shaped workloads whose per-packet
 //    cost the forwarding path dominates. These are the perf-gated numbers
-//    (events/sec must not regress; see bench/record_scale_baseline.sh).
+//    (events/sec must not regress; see the bench/record.py gate in CI).
 //  - leaf-spine sweep: jobs x flows-per-job scaling (8 -> 256 jobs, up to
 //    ~4k flows) across a racks x spines fabric, recording events/sec, wall
 //    time and peak RSS — the memory-stability evidence for cluster scale.
 //
 // Output: one `RESULT key=value ...` line per run (parsed by
-// record_scale_baseline.sh) plus a CSV in results_dir().
+// bench/record.py) plus a CSV in results_dir().
 //
 // Modes:
 //   cluster_scale                  full sweep (8..256 jobs)

@@ -99,6 +99,12 @@ CampaignOutcome run_campaign_at(const std::vector<ScalingSpec>& specs,
   return out;
 }
 
+/// Machine-readable twin of the human lines, parsed by bench/record.py.
+void print_result(int threads, double wall_seconds) {
+  std::printf("RESULT name=runner_scaling threads=%d wall_s=%.2f\n", threads,
+              wall_seconds);
+}
+
 }  // namespace
 
 int main() {
@@ -117,6 +123,7 @@ int main() {
 
   const CampaignOutcome serial = run_campaign_at(specs, 1);
   std::printf("threads=1: %.2fs (serial reference)\n", serial.wall_seconds);
+  print_result(1, serial.wall_seconds);
 
   bool identical = true;
   for (const int threads : {2, 4}) {
@@ -127,6 +134,7 @@ int main() {
                 par.wall_seconds, serial.wall_seconds / par.wall_seconds,
                 same ? "byte-identical to serial"
                      : "DIFFERS FROM SERIAL (bug!)");
+    print_result(threads, par.wall_seconds);
   }
 
   // Persist the serial CSV (all thread counts produced the same bytes).

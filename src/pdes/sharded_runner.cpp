@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace mltcp::pdes {
@@ -65,6 +67,18 @@ ShardedRunner::~ShardedRunner() {
 }
 
 bool ShardedRunner::pump(Shard& s, sim::SimTime bound) {
+  // Safe horizon: strictly below the minimum inbound LBTS (a neighbour may
+  // still emit a delivery exactly at its promised bound), and never past
+  // the phase bound. Load it BEFORE draining: a producer pushes a delivery
+  // and only then advances the LBTS past it, so every delivery below the
+  // value read here is already in the inbox the drain below empties.
+  // Draining first would let a push + advance land between the two steps,
+  // and the shard would run past a delivery it has not pulled yet.
+  sim::SimTime lbts_min = sim::kTimeInfinity;
+  for (const Inbound& in : s.inbound) {
+    lbts_min = std::min(lbts_min, in.channel->lbts());
+  }
+
   // Pull everything neighbours pushed since the last quantum. Per-channel
   // order is time order, so appending preserves the stream.
   for (Inbound& in : s.inbound) {
@@ -73,14 +87,6 @@ bool ShardedRunner::pump(Shard& s, sim::SimTime bound) {
       in.head = 0;
     }
     in.channel->drain(in.pending);
-  }
-
-  // Safe horizon: strictly below the minimum inbound LBTS (a neighbour may
-  // still emit a delivery exactly at its promised bound), and never past
-  // the phase bound.
-  sim::SimTime lbts_min = sim::kTimeInfinity;
-  for (const Inbound& in : s.inbound) {
-    lbts_min = std::min(lbts_min, in.channel->lbts());
   }
 
   sim::SimTime now_limit =
@@ -118,8 +124,14 @@ bool ShardedRunner::pump(Shard& s, sim::SimTime bound) {
       ++s.ctx->executed;
       ++executed;
     }
-    assert(d.when >= s.ctx->now && "causality violation on import");
-    s.ctx->now = d.when;
+    // A delivery below the shard clock is a causality violation: the run
+    // has already diverged from serial. Count it (checked after the phase)
+    // rather than move the clock backwards.
+    if (d.when < s.ctx->now) {
+      ++s.stats.late_imports;
+    } else {
+      s.ctx->now = d.when;
+    }
     d.dst->receive(d.pkt);
     ++best->head;
     ++s.ctx->executed;
@@ -238,6 +250,15 @@ void ShardedRunner::run_phase(sim::SimTime bound) {
     workers_ = 1;
     run_phase_cooperative(bound);
   }
+  std::uint64_t late = 0;
+  for (const auto& sp : shards_) late += sp->stats.late_imports;
+  if (late > 0) {
+    publish_stats();  // Leave the evidence readable through totals().
+    throw std::runtime_error(
+        "pdes: " + std::to_string(late) +
+        " cross-shard deliveries imported below the shard clock; the run "
+        "is no longer identical to serial");
+  }
 }
 
 void ShardedRunner::run_until(sim::SimTime deadline) {
@@ -267,7 +288,10 @@ void ShardedRunner::run_until(sim::SimTime deadline) {
   for (const auto& sp : shards_) {
     sp->ctx->now = std::max(sp->ctx->now, deadline);
   }
+  publish_stats();
+}
 
+void ShardedRunner::publish_stats() {
   // Fold channel counters into the published per-shard stats.
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     ShardStats st = shards_[i]->stats;
@@ -290,6 +314,7 @@ ShardStats ShardedRunner::totals() const {
     total.imports += s.imports;
     total.null_updates += s.null_updates;
     total.stalls += s.stalls;
+    total.late_imports += s.late_imports;
     total.max_inbound_backlog =
         std::max(total.max_inbound_backlog, s.max_inbound_backlog);
   }
@@ -309,6 +334,8 @@ void ShardedRunner::export_metrics(telemetry::MetricRegistry& registry) const {
         static_cast<std::int64_t>(stats_[i].stalls));
     registry.counter(prefix + "max_inbound_backlog").add(
         static_cast<std::int64_t>(stats_[i].max_inbound_backlog));
+    registry.counter(prefix + "late_imports").add(
+        static_cast<std::int64_t>(stats_[i].late_imports));
   }
   const ShardStats total = totals();
   registry.counter("pdes/total/imports").add(
@@ -317,6 +344,8 @@ void ShardedRunner::export_metrics(telemetry::MetricRegistry& registry) const {
       static_cast<std::int64_t>(total.null_updates));
   registry.counter("pdes/total/lookahead_stalls").add(
       static_cast<std::int64_t>(total.stalls));
+  registry.counter("pdes/total/late_imports").add(
+      static_cast<std::int64_t>(total.late_imports));
 }
 
 }  // namespace mltcp::pdes

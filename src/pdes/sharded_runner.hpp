@@ -21,6 +21,10 @@ struct ShardStats {
   std::uint64_t null_updates = 0;  ///< LBTS advances published outbound.
   std::uint64_t stalls = 0;        ///< Blocked waits / no-progress rounds.
   std::uint64_t max_inbound_backlog = 0;  ///< Deepest channel drain seen.
+  /// Imports whose timestamp was already below the shard clock. Always
+  /// counted (Release builds too); run_until throws if any phase ends with
+  /// a non-zero total.
+  std::uint64_t late_imports = 0;
 };
 
 /// Conservative-lookahead parallel executor for one simulation: runs each
@@ -80,7 +84,9 @@ class ShardedRunner {
   void set_scenario(scenario::ScenarioEngine* engine) { engine_ = engine; }
 
   /// Runs every shard until simulated time `deadline` (inclusive, matching
-  /// Simulator::run_until); every shard clock ends at `deadline`.
+  /// Simulator::run_until); every shard clock ends at `deadline`. Throws
+  /// std::runtime_error if a phase ends with late imports (causality
+  /// violations).
   void run_until(sim::SimTime deadline);
 
   const std::vector<ShardStats>& shard_stats() const { return stats_; }
@@ -130,10 +136,13 @@ class ShardedRunner {
   /// are at rest.
   void reset_frontiers();
 
-  /// Runs all shards until every frontier exceeds `bound` (inclusive).
+  /// Runs all shards until every frontier exceeds `bound` (inclusive);
+  /// throws if the phase ended with late imports.
   void run_phase(sim::SimTime bound);
   void run_phase_cooperative(sim::SimTime bound);
   void run_phase_threaded(sim::SimTime bound);
+  /// Folds the shard and channel counters into stats_.
+  void publish_stats();
 
   sim::Simulator& sim_;
   net::Topology& topo_;

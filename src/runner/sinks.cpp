@@ -24,8 +24,13 @@ void write_text(const std::string& path, const std::string& text,
   if (f == nullptr) {
     throw std::runtime_error(std::string(who) + ": cannot open " + path);
   }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  // A full disk shows up as a short write or, with buffering, only at the
+  // flush inside fclose; either way the file is truncated, so fail the run.
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (std::fclose(f) != 0 || !written) {
+    throw std::runtime_error(std::string(who) + ": write failed on " + path);
+  }
 }
 
 }  // namespace

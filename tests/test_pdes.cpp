@@ -438,6 +438,75 @@ TEST(PdesIdentity, RepeatedRunUntilMatchesOneShot) {
   EXPECT_EQ(one_shot, split);
 }
 
+/// Threaded-scheduler race guard: sustained cross-rack training traffic on
+/// a leaf-spine for the full 4 s window the cluster_scale sweep uses, so
+/// every cut link carries deliveries for thousands of LBTS rounds. Short
+/// windows (the identity matrix above) never hit the interleaving where a
+/// neighbour pushes a delivery and advances its LBTS between a shard's
+/// channel drain and its LBTS read; this one does on a multi-core host.
+struct RaceOutcome {
+  std::string digest;
+  std::uint64_t late_imports = 0;
+  std::uint64_t imports = 0;
+};
+
+RaceOutcome race_run(Exec exec, int shards) {
+  sim::Simulator sim;
+  net::LeafSpineConfig cfg = leaf_spine_config(4, 2, 2);
+  // A long fabric hop (the cut-link lookahead) keeps the LBTS round count,
+  // and so the test's wall time, low; each round still carries deliveries.
+  cfg.fabric_delay = sim::microseconds(200);
+  auto ls = net::make_leaf_spine(sim, cfg);
+  workload::Cluster cluster(sim);
+
+  std::vector<workload::JobSpec> specs;
+  for (int j = 0; j < 4; ++j) {
+    workload::JobSpec spec;
+    spec.name = "job" + std::to_string(j);
+    for (int f = 0; f < 2; ++f) {
+      spec.flows.push_back(workload::FlowSpec{ls.racks[j][f],
+                                              ls.racks[(j + 1) % 4][f],
+                                              100'000});
+    }
+    spec.compute_time = sim::milliseconds(5 + j % 3);
+    spec.start_time = sim::milliseconds(j);
+    spec.cc = [] { return std::make_unique<tcp::RenoCC>(); };
+    specs.push_back(spec);
+  }
+  for (const workload::JobSpec& spec : specs) cluster.add_job(spec);
+
+  RaceOutcome out;
+  const sim::SimTime kEnd = sim::seconds(4);
+  if (exec == Exec::kSerial) {
+    cluster.start_all();
+    sim.run_until(kEnd);
+  } else {
+    PartitionOptions opts;
+    opts.shards = shards;
+    opts.co_locate = pdes::co_locate_senders(specs);
+    const Partition part = pdes::partition_topology(*ls.topology, opts);
+    EXPECT_EQ(part.shards, shards) << "test expects a real split";
+    sim.configure_shards(part.shards);
+    pdes::ShardedRunner runner(sim, *ls.topology, part, runner_mode(exec));
+    pdes::start_all_sharded(cluster, specs, sim, part);
+    EXPECT_NO_THROW(runner.run_until(kEnd));
+    out.late_imports = runner.totals().late_imports;
+    out.imports = runner.totals().imports;
+  }
+  out.digest = digest(cluster, *ls.topology);
+  return out;
+}
+
+TEST(ShardRace, ThreadedLeafSpineFullWindowMatchesSerial) {
+  const RaceOutcome serial = race_run(Exec::kSerial, 1);
+  const RaceOutcome threaded = race_run(Exec::kThreaded, 4);
+  EXPECT_GT(threaded.imports, 0u);
+  EXPECT_EQ(threaded.late_imports, 0u);
+  // The digest is ~1 MB of text: report the mismatch, not the diff.
+  EXPECT_TRUE(serial.digest == threaded.digest)
+      << "threaded 4-shard model state diverged from serial";
+}
+
 TEST(PdesRunner, ExportsShardMetrics) {
   sim::Simulator sim;
   net::DumbbellConfig cfg;
@@ -475,6 +544,7 @@ TEST(PdesRunner, ExportsShardMetrics) {
   runner.export_metrics(registry);
   EXPECT_EQ(registry.counter("pdes/total/imports").value(),
             static_cast<std::int64_t>(totals.imports));
+  EXPECT_EQ(registry.counter("pdes/total/late_imports").value(), 0);
   EXPECT_GT(registry.counter("pdes/shard0/events").value() +
                 registry.counter("pdes/shard1/events").value(),
             0);

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -144,6 +145,18 @@ TEST(JsonSink, OutOfOrderPutsSerializeInRunOrder) {
             "  {\"run\": 0, \"name\": \"run \\\"zero\\\"\", \"tail_s\": 2},\n"
             "  {\"run\": 1, \"tail_s\": 0.5}\n"
             "]\n");
+}
+
+TEST(CsvSink, WriteToFullDiskThrows) {
+  // /dev/full accepts the open and fails every write with ENOSPC: the case
+  // where a silently truncated results file would otherwise pass as a run.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  CsvSink csv({"run", "value"});
+  csv.append(0, std::vector<std::string>{"0", "a"});
+  EXPECT_THROW(csv.write("/dev/full"), std::runtime_error);
+  JsonSink json;
+  json.put(0, "tail_s", 0.5);
+  EXPECT_THROW(json.write("/dev/full"), std::runtime_error);
 }
 
 // ------------------------------------- parallel == serial, byte for byte
