@@ -6,11 +6,12 @@
 //  (D) slow-start-after-idle on/off (RFC 2861) for the plain-Reno baseline.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/fluid_model.hpp"
 #include "analysis/metrics.hpp"
+#include "analysis/periodic_jobs.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -79,10 +80,7 @@ Outcome run_packet(const tcp::CcFactory& cc, int ack_every,
 
 /// Iterations until every fluid job stays within 2% of the 1.8 s ideal.
 int fluid_convergence(double slope, double intercept) {
-  analysis::FluidConfig fc;
-  fc.dt = 5e-4;
-  fc.f = std::make_shared<core::LinearAggressiveness>(slope, intercept);
-  std::vector<analysis::FluidJobSpec> jobs(4);
+  std::vector<analysis::PeriodicJob> jobs(4);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     jobs[j].comm_seconds = 0.36;
     jobs[j].compute_seconds = 1.44;
@@ -90,11 +88,12 @@ int fluid_convergence(double slope, double intercept) {
     // breaker (the packet simulator gets one for free from loss noise).
     jobs[j].start_offset = 0.02 * static_cast<double>(j);
   }
-  analysis::FluidSimulator fluid(fc, jobs);
-  fluid.run_iterations(150, 1e4);
+  const auto fluid = analysis::run_periodic_jobs(
+      jobs, std::make_shared<core::LinearAggressiveness>(slope, intercept),
+      7, 150, 1e4);
   int conv = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto times = fluid.iteration_times(j);
+    const auto times = workload::iteration_seconds(fluid[j]);
     int last_bad = -1;
     for (std::size_t i = 0; i < times.size(); ++i) {
       if (times[i] > 1.8 * 1.02) last_bad = static_cast<int>(i);

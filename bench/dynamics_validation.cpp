@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "analysis/flow_monitor.hpp"
-#include "analysis/fluid_model.hpp"
 #include "analysis/metrics.hpp"
+#include "analysis/periodic_jobs.hpp"
 #include "analysis/shift.hpp"
 #include "bench_common.hpp"
 
@@ -90,21 +90,14 @@ void v2_fluid_vs_packet() {
   exp->sim.run_until(sim::seconds(130));
 
   // Fluid.
-  analysis::FluidConfig fc;
-  fc.dt = 5e-4;
-  std::vector<analysis::FluidJobSpec> fjobs(3);
+  std::vector<analysis::PeriodicJob> fjobs(3);
   for (int j = 0; j < 3; ++j) {
     fjobs[j].comm_seconds = sim::to_seconds(workload::comm_time(gpt2));
     fjobs[j].compute_seconds = sim::to_seconds(workload::compute_time(gpt2));
     fjobs[j].start_offset = 0.005 * j;
   }
-  analysis::FluidSimulator fluid(fc, fjobs);
-  if (!fluid.run_iterations(kIters, 1e4)) {
-    std::printf("WARNING: fluid run truncated at t=%.1f before %d "
-                "iterations; per-iteration means below under-count the "
-                "slow tail\n",
-                fluid.now(), kIters);
-  }
+  const auto fluid =
+      analysis::run_periodic_jobs(fjobs, nullptr, 7, kIters, 1e4);
 
   auto csv = bench::open_csv("v2_fluid_vs_packet",
                              {"iter", "packet_mean_s", "fluid_mean_s"});
@@ -114,9 +107,9 @@ void v2_fluid_vs_packet() {
     double fluid_mean = 0.0;
     for (int j = 0; j < 3; ++j) {
       const auto pt = jobs[j]->iteration_times_seconds();
-      const auto ft = fluid.iteration_times(j);
+      const auto ft = workload::iteration_seconds(fluid[j]);
       packet_mean += k < static_cast<int>(pt.size()) ? pt[k] / 3.0 : 0.0;
-      fluid_mean += k < static_cast<int>(ft.size()) ? ft[k] / 3.0 : 0.0;
+      fluid_mean += ft[k] / 3.0;
     }
     csv->row(std::vector<double>{static_cast<double>(k), packet_mean,
                                  fluid_mean});
@@ -137,19 +130,13 @@ void v3_multi_job_descent() {
   const std::vector<double> starts = {0.0, 0.05, 0.10, 0.15};
   const auto descent = analysis::multi_descend(starts, p, 300, 1e-4);
 
-  analysis::FluidConfig fc;
-  fc.dt = 2e-4;
-  std::vector<analysis::FluidJobSpec> jobs(4);
+  std::vector<analysis::PeriodicJob> jobs(4);
   for (std::size_t j = 0; j < 4; ++j) {
     jobs[j].comm_seconds = p.alpha * p.period;
     jobs[j].compute_seconds = (1 - p.alpha) * p.period;
     jobs[j].start_offset = starts[j];
   }
-  analysis::FluidSimulator fluid(fc, jobs);
-  if (!fluid.run_iterations(60, 1e4)) {
-    std::printf("WARNING: fluid run truncated before 60 iterations; the "
-                "offset comparison below is over a shorter trajectory\n");
-  }
+  const auto fluid = analysis::run_periodic_jobs(jobs, nullptr, 7, 60, 1e4);
 
   std::printf("analytic: converged=%s after %d iterations, final loss "
               "%.5f\n",
@@ -163,11 +150,10 @@ void v3_multi_job_descent() {
     double analytic = std::fmod(final_offsets[j] - final_offsets[0],
                                 p.period);
     if (analytic < 0) analytic += p.period;
-    const auto& r0 = fluid.iterations(0);
-    const auto& rj = fluid.iterations(j);
-    const std::size_t k = std::min(r0.size(), rj.size()) - 1;
     double fluid_off = std::fmod(
-        rj[k].comm_start - r0[k].comm_start, p.period);
+        sim::to_seconds(fluid[j].back().comm_start -
+                        fluid[0].back().comm_start),
+        p.period);
     if (fluid_off < 0) fluid_off += p.period;
     std::printf("%zu,%.3f,%.3f\n", j, analytic, fluid_off);
   }

@@ -19,8 +19,8 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/fluid_model.hpp"
 #include "analysis/metrics.hpp"
+#include "analysis/periodic_jobs.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -136,19 +136,17 @@ void scalability() {
       sizes,
       [](const int n, std::size_t) {
         const double a = 0.8 / n;
-        analysis::FluidConfig fc;
-        fc.dt = 1e-3;
-        std::vector<analysis::FluidJobSpec> jobs(n);
+        std::vector<analysis::PeriodicJob> jobs(n);
         for (int j = 0; j < n; ++j) {
           jobs[j].comm_seconds = a * 1.8;
           jobs[j].compute_seconds = 1.8 - a * 1.8;
           jobs[j].start_offset = 0.01 * j;
         }
-        analysis::FluidSimulator fluid(fc, jobs);
-        fluid.run_iterations(400, 2e4);
+        const auto fluid =
+            analysis::run_periodic_jobs(jobs, nullptr, 7, 400, 2e4);
         int conv = 0;
         for (int j = 0; j < n; ++j) {
-          const auto times = fluid.iteration_times(j);
+          const auto times = workload::iteration_seconds(fluid[j]);
           int last_bad = -1;
           for (std::size_t i = 0; i < times.size(); ++i) {
             if (times[i] > 1.8 * 1.02) last_bad = static_cast<int>(i);

@@ -3,13 +3,18 @@
 //  - Eq. 4 loss function Loss(D) = -Int Shift (Figure 5c: for a = 1/2 the
 //    loss is minimal at D = T/2, the fully interleaved configuration),
 //  - gradient-descent trajectories from several starting offsets,
-//  - cross-validation of the analytical descent against the fluid model.
+//  - cross-validation of the analytical descent against the fluid model
+//    (flowsim over a dumbbell).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <vector>
 
-#include "analysis/fluid_model.hpp"
+#include "analysis/periodic_jobs.hpp"
 #include "analysis/shift.hpp"
+#include "sim/time.hpp"
 
 namespace {
 
@@ -55,34 +60,33 @@ void cross_validate_with_fluid(const analysis::ShiftParams& p) {
 
   const auto analytic = analysis::descend(d0, p, 40, 1e-9);
 
-  analysis::FluidConfig fc;
-  fc.dt = 1e-4;
-  fc.f = std::make_shared<core::LinearAggressiveness>(p.slope, p.intercept);
-  std::vector<analysis::FluidJobSpec> jobs(2);
+  std::vector<analysis::PeriodicJob> jobs(2);
   const double comm = p.alpha * p.period;
   for (auto& j : jobs) {
     j.comm_seconds = comm;
     j.compute_seconds = p.period - comm;
   }
   jobs[1].start_offset = d0;
-  analysis::FluidSimulator fluid(fc, jobs);
-  fluid.run_iterations(30);
+  const auto fluid = analysis::run_periodic_jobs(
+      jobs,
+      std::make_shared<core::LinearAggressiveness>(p.slope, p.intercept),
+      7, 30, 1e6);
 
   std::printf("iter,analytic_D,fluid_D\n");
+  double max_gap = 0.0;
   for (int k = 0; k < 30; k += 3) {
     double analytic_d =
         k < static_cast<int>(analytic.trajectory.size())
             ? analytic.trajectory[k]
             : analytic.trajectory.back();
-    double fluid_d = 0.0;
-    const auto& r0 = fluid.iterations(0);
-    const auto& r1 = fluid.iterations(1);
-    if (k < static_cast<int>(r0.size()) && k < static_cast<int>(r1.size())) {
-      fluid_d = std::fmod(r1[k].comm_start - r0[k].comm_start, p.period);
-      if (fluid_d < 0) fluid_d += p.period;
-    }
+    double fluid_d = std::fmod(
+        sim::to_seconds(fluid[1][k].comm_start - fluid[0][k].comm_start),
+        p.period);
+    if (fluid_d < 0) fluid_d += p.period;
+    max_gap = std::max(max_gap, std::fabs(analytic_d - fluid_d));
     std::printf("%d,%.4f,%.4f\n", k, analytic_d, fluid_d);
   }
+  std::printf("max |analytic_D - fluid_D| = %.6f s\n", max_gap);
 }
 
 }  // namespace

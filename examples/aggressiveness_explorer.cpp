@@ -1,20 +1,22 @@
 // Explore the design space of bandwidth aggressiveness functions with the
-// fast fluid model: how do Slope/Intercept (or an arbitrary custom F) change
-// convergence speed and steady-state interleaving for N periodic jobs?
+// fast fluid model (flowsim over a dumbbell): how do Slope/Intercept (or an
+// arbitrary custom F) change convergence speed and steady-state
+// interleaving for N periodic jobs?
 //
 //   ./build/examples/aggressiveness_explorer              # default sweep
 //   ./build/examples/aggressiveness_explorer 8 0.1 0.02   # jobs a noise
 //
 // Arguments: [jobs] [comm_fraction] [noise_stddev_seconds].
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <vector>
 
-#include "analysis/fluid_model.hpp"
 #include "analysis/metrics.hpp"
+#include "analysis/periodic_jobs.hpp"
 #include "analysis/shift.hpp"
 #include "core/aggressiveness.hpp"
 
@@ -32,27 +34,21 @@ struct SweepResult {
 
 SweepResult evaluate(std::shared_ptr<const core::AggressivenessFunction> f,
                      int jobs, double comm_fraction, double noise) {
-  analysis::FluidConfig cfg;
-  cfg.dt = 5e-4;
-  cfg.f = std::move(f);
-  cfg.seed = 11;
-
-  std::vector<analysis::FluidJobSpec> specs(jobs);
+  std::vector<analysis::PeriodicJob> specs(jobs);
   for (int j = 0; j < jobs; ++j) {
     specs[j].comm_seconds = comm_fraction * kPeriod;
     specs[j].compute_seconds = (1.0 - comm_fraction) * kPeriod;
     specs[j].noise_stddev = noise;
     specs[j].start_offset = 0.015 * j;  // symmetry breaker
   }
-  analysis::FluidSimulator fluid(cfg, specs);
-  const int iterations = 200;
-  fluid.run_iterations(iterations, 1e4);
+  const auto fluid =
+      analysis::run_periodic_jobs(specs, std::move(f), 11, 200, 1e4);
 
   SweepResult out;
   int conv = 0;
   std::vector<double> tails;
   for (int j = 0; j < jobs; ++j) {
-    const auto times = fluid.iteration_times(j);
+    const auto times = workload::iteration_seconds(fluid[j]);
     tails.push_back(analysis::tail_mean(times, 20));
     int last_bad = -1;
     for (std::size_t i = 0; i + 20 < times.size(); ++i) {
@@ -64,10 +60,15 @@ SweepResult evaluate(std::shared_ptr<const core::AggressivenessFunction> f,
   out.convergence_iteration =
       out.converged_time < kPeriod * 1.05 ? conv : -1;
 
-  fluid.reset_excess();
-  const double horizon = 20.0;
-  fluid.run_until(fluid.now() + horizon);
-  out.tail_excess_per_second = fluid.accumulated_excess() / horizon;
+  // Residual overlap over the run's last 20 s, while every job still runs.
+  const sim::SimTime horizon = sim::seconds(20);
+  sim::SimTime end = fluid[0].back().iter_end;
+  for (const auto& records : fluid) {
+    end = std::min(end, records.back().iter_end);
+  }
+  out.tail_excess_per_second =
+      analysis::comm_overlap_seconds(fluid, end - horizon, end) /
+      sim::to_seconds(horizon);
   return out;
 }
 

@@ -23,8 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/fluid_model.hpp"
 #include "analysis/metrics.hpp"
+#include "analysis/periodic_jobs.hpp"
 #include "core/mltcp.hpp"
 #include "net/topology.hpp"
 #include "runner/campaign.hpp"
@@ -147,24 +147,28 @@ runner::Report analyze(const std::vector<JobMix>& mix) {
   rep.addf("\n\n");
 
   // 2. What does distributed MLTCP converge to? (fluid model)
-  analysis::FluidConfig fc;
-  fc.dt = 1e-3;
-  std::vector<analysis::FluidJobSpec> jobs;
+  std::vector<analysis::PeriodicJob> jobs;
+  double longest_period_s = 0.0;
   for (std::size_t i = 0; i < mix.size(); ++i) {
-    analysis::FluidJobSpec spec;
+    longest_period_s = std::max(longest_period_s, mix[i].period_s);
+    analysis::PeriodicJob spec;
     spec.comm_seconds = mix[i].period_s * mix[i].comm_fraction;
     spec.compute_seconds = mix[i].period_s - spec.comm_seconds;
     spec.start_offset = 0.01 * static_cast<double>(i);  // symmetry breaker
     jobs.push_back(spec);
   }
-  analysis::FluidSimulator fluid(fc, jobs);
-  fluid.run_iterations(300, 1e4);
+  // Generous budget: even an overloaded mix finishes well within a few
+  // periods per iteration.
+  constexpr int kIterations = 300;
+  const auto fluid = analysis::run_periodic_jobs(
+      jobs, nullptr, 7, kIterations,
+      longest_period_s * kIterations * 4.0);
 
   rep.addf("MLTCP (fluid model, Slope 1.75 / Intercept 0.25):\n");
   rep.addf("%-6s %10s %14s %16s %14s\n", "job", "ideal_s", "converged_s",
            "slowdown", "converged_by");
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto times = fluid.iteration_times(j);
+    const auto times = workload::iteration_seconds(fluid[j]);
     const double converged = analysis::tail_mean(times, 20);
     int last_bad = -1;
     for (std::size_t i = 0; i + 20 < times.size(); ++i) {
@@ -175,10 +179,15 @@ runner::Report analyze(const std::vector<JobMix>& mix) {
              last_bad + 1);
   }
 
-  fluid.reset_excess();
-  fluid.run_until(fluid.now() + 30.0);
+  // Steady state: the run's last 30 s, while every job still runs.
+  const sim::SimTime horizon = sim::seconds(30);
+  sim::SimTime end = fluid[0].back().iter_end;
+  for (const auto& records : fluid) {
+    end = std::min(end, records.back().iter_end);
+  }
   rep.addf("\nresidual comm overlap in steady state: %.4f s/s\n",
-           fluid.accumulated_excess() / 30.0);
+           analysis::comm_overlap_seconds(fluid, end - horizon, end) /
+               sim::to_seconds(horizon));
   if (schedule.excess == 0) {
     rep.addf("verdict: this mix self-interleaves under MLTCP; expect "
              "near-ideal iteration times.\n");

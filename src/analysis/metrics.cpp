@@ -119,15 +119,23 @@ double interval_overlap_seconds(
   return excess;
 }
 
-double comm_overlap_seconds(const std::vector<const workload::Job*>& jobs,
-                            sim::SimTime from, sim::SimTime to) {
+double comm_overlap_seconds(
+    const std::vector<std::vector<workload::IterationRecord>>& records,
+    sim::SimTime from, sim::SimTime to) {
   std::vector<std::pair<sim::SimTime, sim::SimTime>> intervals;
-  for (const workload::Job* job : jobs) {
-    for (const auto& rec : job->iterations()) {
+  for (const auto& job : records) {
+    for (const auto& rec : job) {
       intervals.emplace_back(rec.comm_start, rec.comm_end);
     }
   }
   return interval_overlap_seconds(intervals, from, to);
+}
+
+double comm_overlap_seconds(const std::vector<const workload::Job*>& jobs,
+                            sim::SimTime from, sim::SimTime to) {
+  std::vector<std::vector<workload::IterationRecord>> records;
+  for (const workload::Job* job : jobs) records.push_back(job->iterations());
+  return comm_overlap_seconds(records, from, to);
 }
 
 double tail_mean(const std::vector<double>& xs, std::size_t window) {

@@ -67,6 +67,11 @@ double interval_overlap_seconds(
 double comm_overlap_seconds(const std::vector<const workload::Job*>& jobs,
                             sim::SimTime from, sim::SimTime to);
 
+/// The same over per-job iteration records (run_periodic_jobs output).
+double comm_overlap_seconds(
+    const std::vector<std::vector<workload::IterationRecord>>& records,
+    sim::SimTime from, sim::SimTime to);
+
 /// Mean of the last `window` entries (or all of them when fewer exist);
 /// the standard way the experiments report "converged" iteration times.
 double tail_mean(const std::vector<double>& xs, std::size_t window);

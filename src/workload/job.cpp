@@ -115,13 +115,18 @@ void Job::on_compute_done() {
   begin_iteration();
 }
 
-std::vector<double> Job::iteration_times_seconds() const {
+std::vector<double> iteration_seconds(
+    const std::vector<IterationRecord>& records) {
   std::vector<double> out;
-  out.reserve(records_.size());
-  for (const auto& r : records_) {
+  out.reserve(records.size());
+  for (const auto& r : records) {
     out.push_back(sim::to_seconds(r.iter_end - r.comm_start));
   }
   return out;
+}
+
+std::vector<double> Job::iteration_times_seconds() const {
+  return iteration_seconds(records_);
 }
 
 std::vector<double> Job::comm_times_seconds() const {

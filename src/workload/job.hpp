@@ -21,6 +21,10 @@ struct IterationRecord {
   sim::SimTime iter_end = 0;
 };
 
+/// Iteration durations in seconds (start-of-comm to start-of-next-comm).
+std::vector<double> iteration_seconds(
+    const std::vector<IterationRecord>& records);
+
 struct JobConfig {
   std::string name;
   /// Compute-phase duration separating communication phases. The next

@@ -63,6 +63,24 @@ TEST(Job, IterationTimeIsCommPlusCompute) {
   }
 }
 
+TEST(Job, IterationSecondsSpanCommStartToIterEnd) {
+  Rig rig;
+  Job* job = rig.cluster->add_job(
+      rig.basic_spec(0, 1'000'000, sim::milliseconds(100), 5));
+  rig.cluster->start_all();
+  rig.sim.run_until(sim::seconds(10));
+  const auto& records = job->iterations();
+  const auto times = iteration_seconds(records);
+  ASSERT_EQ(times.size(), 5u);
+  EXPECT_EQ(times, job->iteration_times_seconds());
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    EXPECT_DOUBLE_EQ(times[i],
+                     sim::to_seconds(records[i].iter_end -
+                                     records[i].comm_start));
+  }
+  EXPECT_TRUE(iteration_seconds({}).empty());
+}
+
 TEST(Job, NextCommGatedOnPreviousCompletion) {
   Rig rig;
   Job* job = rig.cluster->add_job(
