@@ -5,9 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "core/aggressiveness.hpp"
 #include "core/iteration_tracker.hpp"
 #include "core/mltcp.hpp"
+#include "net/queue.hpp"
 #include "net/topology.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
@@ -168,6 +171,54 @@ void BM_PfabricAdmissionDequeue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PfabricAdmissionDequeue)->RangeMultiplier(8)->Range(16, 8192);
+
+// DRR on an idle transmitter: every packet arrives at an empty queue and
+// leaves at once. Arg 1 is the enqueue_dequeue bypass the link takes; arg 0
+// the enqueue() + dequeue() pair it replaces, which builds and tears down
+// the flow's map node and FIFO per packet.
+void BM_DrrQueueIdleBypass(benchmark::State& state) {
+  const bool bypass = state.range(0) != 0;
+  net::DrrQueue q(64 * 1500);
+  net::Packet pkt;
+  pkt.size_bytes = 1500;
+  std::int64_t sink = 0;
+  for (auto _ : state) {
+    ++pkt.flow;  // A different flow each time, as at a fabric port.
+    std::optional<net::Packet> out;
+    if (bypass) {
+      out = q.enqueue_dequeue(pkt, 0);
+    } else if (q.enqueue(pkt, 0)) {
+      out = q.dequeue(0);
+    }
+    sink += out->seq;
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetLabel(bypass ? "enqueue_dequeue" : "enqueue+dequeue");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DrrQueueIdleBypass)->Arg(0)->Arg(1);
+
+// Host demux with fabric-wide flow ids: the host terminates Arg flows whose
+// ids are scattered over a 1,000x larger range, and receives packets
+// cycling through them — one hash probe per packet.
+void BM_HostDemuxSparseFlows(benchmark::State& state) {
+  const auto flows = static_cast<net::FlowId>(state.range(0));
+  net::Host host(0, "h");
+  std::int64_t hits = 0;
+  for (net::FlowId i = 0; i < flows; ++i) {
+    host.register_flow(i * 997 + 13, [&hits](const net::Packet&) { ++hits; });
+  }
+  net::Packet pkt;
+  net::FlowId i = 0;
+  for (auto _ : state) {
+    pkt.flow = i * 997 + 13;
+    host.receive(pkt);
+    if (++i == flows) i = 0;
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HostDemuxSparseFlows)->RangeMultiplier(8)->Range(8, 4096);
 
 // Route-table construction for a cluster-sized fabric: one BFS per
 // destination host over the adjacency (O(hosts * edges); see

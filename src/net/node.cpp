@@ -1,5 +1,6 @@
 #include "net/node.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "sim/simulator.hpp"
@@ -110,10 +111,10 @@ void Switch::trace_routeless_drop(const Packet& pkt) const {
 }
 
 void Host::receive(const Packet& pkt) {
-  const auto idx = static_cast<std::uint32_t>(pkt.flow);
-  if (idx < handlers_.size() && handlers_[idx].handler) {
+  HandlerSlot* slot = find(pkt.flow);
+  if (slot != nullptr && slot->handler) {
     ++delivered_;
-    handlers_[idx].handler(pkt);
+    slot->handler(pkt);
     return;
   }
   ++unclaimed_;
@@ -126,32 +127,60 @@ void Host::send(const Packet& pkt) {
   uplink_->send(out);
 }
 
+Host::HandlerSlot& Host::probe(FlowId flow) {
+  // Fibonacci hashing: the top bits of id * 2^32/phi spread both the
+  // sequential ids of one host's flows and scattered ones.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = (static_cast<std::uint32_t>(flow) * 0x9e3779b9u) >> shift_;
+  while (slots_[i].flow != flow && slots_[i].flow != kInvalidFlow) {
+    i = (i + 1) & mask;
+  }
+  return slots_[i];
+}
+
+Host::HandlerSlot* Host::find(FlowId flow) {
+  if (flow < 0 || slots_.empty()) return nullptr;
+  HandlerSlot& slot = probe(flow);
+  return slot.flow == flow ? &slot : nullptr;
+}
+
+void Host::grow() {
+  std::vector<HandlerSlot> old(slots_.empty() ? 8 : slots_.size() * 2);
+  old.swap(slots_);
+  shift_ = 32 - static_cast<std::uint32_t>(std::countr_zero(slots_.size()));
+  for (HandlerSlot& slot : old) {
+    if (slot.flow != kInvalidFlow) probe(slot.flow) = std::move(slot);
+  }
+}
+
 Host::FlowHandle Host::register_flow(FlowId flow, PacketHandler handler) {
-  assert(flow >= 0 && "flow ids must be dense non-negative indices");
-  const auto idx = static_cast<std::size_t>(flow);
-  if (idx >= handlers_.size()) handlers_.resize(idx + 1);
-  HandlerSlot& slot = handlers_[idx];
+  if (flow < 0) return FlowHandle{};
+  // Keep the table at most half full so a probe sequence stays short.
+  if ((used_ + 1) * 2 > slots_.size()) grow();
+  HandlerSlot& slot = probe(flow);
+  if (slot.flow != flow) {
+    slot.flow = flow;
+    ++used_;
+  }
   slot.handler = std::move(handler);
   ++slot.gen;
   return FlowHandle{flow, slot.gen};
 }
 
 void Host::unregister_flow(FlowId flow) {
-  const auto idx = static_cast<std::uint32_t>(flow);
-  if (idx >= handlers_.size() || !handlers_[idx].handler) return;
-  handlers_[idx].handler = nullptr;
-  ++handlers_[idx].gen;
+  HandlerSlot* slot = find(flow);
+  if (slot == nullptr || !slot->handler) return;
+  slot->handler = nullptr;
+  ++slot->gen;
 }
 
 void Host::unregister_flow(const FlowHandle& handle) {
-  const auto idx = static_cast<std::uint32_t>(handle.flow);
-  if (idx >= handlers_.size()) return;
-  HandlerSlot& slot = handlers_[idx];
+  HandlerSlot* slot = find(handle.flow);
   // Only the live registration may unregister: a handle from before the id
   // was reused has a stale generation and must not tear down the new flow.
-  if (slot.gen != handle.gen || !slot.handler) return;
-  slot.handler = nullptr;
-  ++slot.gen;
+  if (slot == nullptr || slot->gen != handle.gen || !slot->handler) return;
+  slot->handler = nullptr;
+  ++slot->gen;
 }
 
 }  // namespace mltcp::net

@@ -107,10 +107,13 @@ class Switch : public Node {
 };
 
 /// End host: demultiplexes received packets to per-flow handlers and sends
-/// all outbound traffic over its single uplink. Flow ids are dense (the
-/// workload layer assigns them sequentially), so demux is a flat table
-/// indexed by flow id; each slot carries a generation counter so a stale
-/// handle from a destroyed flow can never unregister a reused id.
+/// all outbound traffic over its single uplink. Flow ids are dense across
+/// the whole fabric, not per host: one host terminates a scattered handful
+/// of them. Demux is therefore an open-addressing table keyed by flow id
+/// (linear probing, at most half full), sized to the flows this host has
+/// registered. Each slot carries a generation counter so a stale handle
+/// from a destroyed flow can never unregister a reused id; slots are kept
+/// after unregistration so the generation survives the id's reuse.
 class Host : public Node {
  public:
   using PacketHandler = std::function<void(const Packet&)>;
@@ -137,7 +140,8 @@ class Host : public Node {
   /// generation-checked unregistration. At most one handler per flow; data
   /// and ACKs of a flow arrive at different hosts so a single table
   /// suffices. Registering over a live handler replaces it (and invalidates
-  /// handles to the previous registration).
+  /// handles to the previous registration). A negative id registers nothing
+  /// and returns an inert handle.
   FlowHandle register_flow(FlowId flow, PacketHandler handler);
 
   /// Unconditionally removes the handler for `flow` (if any).
@@ -151,12 +155,22 @@ class Host : public Node {
 
  private:
   struct HandlerSlot {
-    PacketHandler handler;     ///< Empty = unregistered.
-    std::uint32_t gen = 0;     ///< Bumped on every register/unregister.
+    PacketHandler handler;       ///< Empty = unregistered.
+    FlowId flow = kInvalidFlow;  ///< kInvalidFlow = free slot.
+    std::uint32_t gen = 0;       ///< Bumped on every register/unregister.
   };
 
+  /// The slot registered for `flow`, or nullptr.
+  HandlerSlot* find(FlowId flow);
+  /// The slot holding `flow`, or the free slot it would take (slots_ must
+  /// be non-empty).
+  HandlerSlot& probe(FlowId flow);
+  void grow();
+
   Link* uplink_ = nullptr;
-  std::vector<HandlerSlot> handlers_;  ///< Indexed by FlowId.
+  std::vector<HandlerSlot> slots_;  ///< Power-of-two size, or empty.
+  std::size_t used_ = 0;            ///< Slots holding a flow.
+  std::uint32_t shift_ = 32;        ///< 32 - log2(slots_.size()).
   std::int64_t delivered_ = 0;
   std::int64_t unclaimed_ = 0;
 };

@@ -374,6 +374,26 @@ std::optional<Packet> DrrQueue::dequeue(sim::SimTime /*now*/) {
   return std::nullopt;
 }
 
+std::optional<Packet> DrrQueue::enqueue_dequeue(const Packet& pkt,
+                                                sim::SimTime now) {
+  if (!flows_.empty()) {
+    if (!enqueue(pkt, now)) return std::nullopt;
+    return dequeue(now);
+  }
+  // No flow backlogged: the arrival's flow would be alone in the round,
+  // collect quanta until its deficit covers the packet, send it and be
+  // erased — so admission is a size check and the arrival goes straight
+  // out, without creating the flow's map node and FIFO.
+  if (pkt.size_bytes > capacity_) {
+    ++stats_.dropped_packets;
+    trace_drop(pkt, now);
+    return std::nullopt;
+  }
+  ++stats_.enqueued_packets;
+  note_backlog(stats_, pkt.size_bytes);
+  return pkt;
+}
+
 std::size_t DrrQueue::backlog_packets() const {
   std::size_t n = 0;
   for (const auto& [id, flow] : flows_) n += flow.q.size();

@@ -223,6 +223,8 @@ class DrrQueue : public QueueDiscipline {
 
   bool enqueue(const Packet& pkt, sim::SimTime now) override;
   std::optional<Packet> dequeue(sim::SimTime now) override;
+  std::optional<Packet> enqueue_dequeue(const Packet& pkt,
+                                        sim::SimTime now) override;
   bool empty() const override { return backlog_ == 0; }
   std::int64_t backlog_bytes() const override { return backlog_; }
   std::size_t backlog_packets() const override;

@@ -195,22 +195,25 @@ workload::Channel* TrafficSource::flow_for(std::int32_t src, std::int32_t dst) {
       static_cast<std::size_t>(dst) >= hosts_.size()) {
     return nullptr;
   }
-  // Lane mode after install: the map is complete and lanes run
+  const std::size_t n = hosts_.size();
+  // Lane mode creates every channel in install(), so the table is sized
+  // before any lane runs.
+  if (channels_.empty()) channels_.assign(n * n, nullptr);
+  workload::Channel*& channel = channels_[static_cast<std::size_t>(src) * n +
+                                          static_cast<std::size_t>(dst)];
+  // Lane mode after install: the table is complete and lanes run
   // concurrently, so only a read is safe (and ever needed).
   if (!lane_states_.empty()) {
-    auto it = flows_.find({src, dst});
-    assert(it != flows_.end() && "lane-mode channel missing from pre-create");
-    return it == flows_.end() ? nullptr : it->second;
+    assert(channel != nullptr && "lane-mode channel missing from pre-create");
+    return channel;
   }
-  auto [it, inserted] = flows_.try_emplace({src, dst}, nullptr);
-  if (inserted) {
+  if (channel == nullptr) {
     workload::FlowSpec fs;
     fs.src = hosts_[static_cast<std::size_t>(src)];
     fs.dst = hosts_[static_cast<std::size_t>(dst)];
-    it->second =
-        cluster_.add_channel(fs, opts_.cc, opts_.sender, opts_.receiver);
+    channel = cluster_.add_channel(fs, opts_.cc, opts_.sender, opts_.receiver);
   }
-  return it->second;
+  return channel;
 }
 
 }  // namespace mltcp::traffic

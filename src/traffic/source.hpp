@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -139,9 +138,11 @@ class TrafficSource {
   std::vector<std::unique_ptr<Lane>> lane_states_;  ///< Empty when serial.
   std::vector<char> posted_flags_;  ///< Lane mode: per-arrival posted bit.
 
-  /// Backend-owned channels, reused per ordered host pair. Lane mode:
-  /// fully populated at install(), lookup-only afterwards.
-  std::map<std::pair<std::int32_t, std::int32_t>, workload::Channel*> flows_;
+  /// Backend-owned channels, reused per ordered host pair: a flat
+  /// src * hosts + dst table (null = not created yet), sized on the first
+  /// lookup so a serial install() does not pay for it. Lane mode:
+  /// populated at install(), lookup-only afterwards.
+  std::vector<workload::Channel*> channels_;
 
   /// Mutable: records() lazily compacts lane-mode placeholder slots away.
   mutable std::vector<FctRecord> records_;

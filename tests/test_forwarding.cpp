@@ -130,6 +130,37 @@ TEST(Forwarding, StaleHandleCannotUnregisterReusedFlowId) {
   EXPECT_EQ(h.unclaimed_packets(), 2);
 }
 
+TEST(Forwarding, NegativeFlowIdRegistersNothing) {
+  // Checked in every build, not by assert: a negative id must neither
+  // register nor disturb the live registrations.
+  Host h(0, "h");
+  int hits2 = 0;
+  int hits7 = 0;
+  const Host::FlowHandle live =
+      h.register_flow(2, [&](const Packet&) { ++hits2; });
+  h.register_flow(7, [&](const Packet&) { ++hits7; });
+  int bad_hits = 0;
+  for (const FlowId bad : {kInvalidFlow, FlowId{-5}}) {
+    const Host::FlowHandle inert =
+        h.register_flow(bad, [&](const Packet&) { ++bad_hits; });
+    EXPECT_EQ(inert.flow, kInvalidFlow);
+    EXPECT_EQ(inert.gen, 0u);
+    h.unregister_flow(inert);
+  }
+  h.receive(make_pkt(0, kInvalidFlow));
+  h.receive(make_pkt(0, 2));
+  h.receive(make_pkt(0, 7));
+  EXPECT_EQ(bad_hits, 0);
+  EXPECT_EQ(hits2, 1);
+  EXPECT_EQ(hits7, 1);
+  EXPECT_EQ(h.unclaimed_packets(), 1);
+  // The handle from before the rejected registrations is still live.
+  h.unregister_flow(live);
+  h.receive(make_pkt(0, 2));
+  EXPECT_EQ(hits2, 1);
+  EXPECT_EQ(h.unclaimed_packets(), 2);
+}
+
 // ------------------------------------------------------- packet ring
 
 TEST(Forwarding, PacketRingPreservesFifoAcrossWraparound) {

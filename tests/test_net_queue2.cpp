@@ -75,6 +75,74 @@ TEST(DrrQueue, TracksActiveFlows) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(DrrQueue, IdleBypassMatchesEnqueueThenDequeue) {
+  // On an empty queue enqueue_dequeue skips building per-flow state; it
+  // must be indistinguishable from enqueue() + dequeue(), and leave the
+  // queue serving a later backlog exactly as the two-call path does.
+  constexpr std::int64_t kQuantum = 1500;
+  constexpr std::int64_t kCapacity = 4 * 1500;
+  for (const std::int32_t size : {700, 1500, 2200, 4 * 1500 + 1}) {
+    SCOPED_TRACE(size);
+    DrrQueue bypass(kCapacity, kQuantum);
+    DrrQueue two_call(kCapacity, kQuantum);
+    Packet p = flow_packet(9, size);
+    p.seq = 42;
+    const std::optional<Packet> a = bypass.enqueue_dequeue(p, 0);
+    std::optional<Packet> b;
+    if (two_call.enqueue(p, 0)) b = two_call.dequeue(0);
+    ASSERT_EQ(a.has_value(), b.has_value());
+    EXPECT_EQ(a.has_value(), size <= kCapacity);
+    if (a) {
+      EXPECT_EQ(a->flow, b->flow);
+      EXPECT_EQ(a->seq, b->seq);
+      EXPECT_EQ(a->size_bytes, b->size_bytes);
+    }
+    EXPECT_EQ(bypass.stats().enqueued_packets,
+              two_call.stats().enqueued_packets);
+    EXPECT_EQ(bypass.stats().dropped_packets,
+              two_call.stats().dropped_packets);
+    EXPECT_EQ(bypass.stats().max_backlog_bytes,
+              two_call.stats().max_backlog_bytes);
+    EXPECT_EQ(bypass.active_flows(), two_call.active_flows());
+    EXPECT_EQ(bypass.active_flows(), 0u);
+    EXPECT_TRUE(bypass.empty());
+
+    // A backlog built afterwards (flow 9 again among others) dequeues in
+    // the same order; an arrival on the backlogged queue goes through the
+    // bypass entry point on one queue and the two calls on the other.
+    const std::int32_t sizes[] = {300, 1500, 2200};
+    for (int i = 0; i < 9; ++i) {
+      Packet q = flow_packet(7 + i % 3, sizes[i % 3]);
+      q.seq = i;
+      EXPECT_EQ(bypass.enqueue(q, 0), two_call.enqueue(q, 0));
+    }
+    Packet late = flow_packet(9, 300);
+    late.seq = 100;
+    const std::optional<Packet> c = bypass.enqueue_dequeue(late, 0);
+    std::optional<Packet> d;
+    if (two_call.enqueue(late, 0)) d = two_call.dequeue(0);
+    ASSERT_EQ(c.has_value(), d.has_value());
+    if (c) {
+      EXPECT_EQ(c->seq, d->seq);
+    }
+    EXPECT_EQ(bypass.active_flows(), two_call.active_flows());
+    while (!two_call.empty()) {
+      const std::optional<Packet> x = bypass.dequeue(0);
+      const std::optional<Packet> y = two_call.dequeue(0);
+      ASSERT_TRUE(x.has_value() && y.has_value());
+      EXPECT_EQ(x->flow, y->flow);
+      EXPECT_EQ(x->seq, y->seq);
+    }
+    EXPECT_TRUE(bypass.empty());
+    EXPECT_EQ(bypass.stats().enqueued_packets,
+              two_call.stats().enqueued_packets);
+    EXPECT_EQ(bypass.stats().dropped_packets,
+              two_call.stats().dropped_packets);
+    EXPECT_EQ(bypass.stats().max_backlog_bytes,
+              two_call.stats().max_backlog_bytes);
+  }
+}
+
 // -------------------------------------------------------------------- RED
 
 RedQueue::Config red_config() {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -18,6 +19,8 @@
 #include "analysis/metrics.hpp"
 #include "net/queue.hpp"
 #include "net/topology.hpp"
+#include "pdes/partition.hpp"
+#include "pdes/sharded_runner.hpp"
 #include "runner/campaign.hpp"
 #include "runner/sinks.hpp"
 #include "scenario/engine.hpp"
@@ -30,6 +33,7 @@
 #include "traffic/jobs.hpp"
 #include "traffic/pattern.hpp"
 #include "traffic/source.hpp"
+#include "workload/backend.hpp"
 #include "workload/cluster.hpp"
 
 namespace mltcp {
@@ -321,6 +325,119 @@ TEST(TrafficSource, TruncatedRunCountsOpenFlowsSeparately) {
   EXPECT_DOUBLE_EQ(s.max_s, fcts.front());
   EXPECT_FALSE(source.records()[1].done());
   EXPECT_LT(source.bytes_completed(), source.bytes_posted());
+}
+
+/// Backend that records every channel it opens and every message posted
+/// on one, without moving bytes (messages never complete).
+class RecordingBackend : public workload::Backend {
+ public:
+  struct Opened {
+    net::NodeId src;
+    net::NodeId dst;
+    net::FlowId id;
+    bool operator==(const Opened&) const = default;
+  };
+
+  workload::Channel* create_channel(const workload::ChannelSpec& spec) override {
+    opened.push_back({spec.src->id(), spec.dst->id(), spec.id});
+    channels_.push_back(std::make_unique<Recorder>(*this, spec.id));
+    return channels_.back().get();
+  }
+  const char* name() const override { return "recording"; }
+
+  std::vector<Opened> opened;
+  std::map<std::int64_t, net::FlowId> channel_of_bytes;  ///< Per message.
+
+ private:
+  class Recorder : public workload::Channel {
+   public:
+    Recorder(RecordingBackend& owner, net::FlowId id)
+        : owner_(owner), id_(id) {}
+    void send_message(std::int64_t bytes, Completion) override {
+      owner_.channel_of_bytes[bytes] = id_;
+    }
+    net::FlowId id() const override { return id_; }
+
+   private:
+    RecordingBackend& owner_;
+    net::FlowId id_;
+  };
+
+  std::vector<std::unique_ptr<Recorder>> channels_;
+};
+
+/// Arrivals over a 3+3 dumbbell that revisit pairs in both directions;
+/// each carries a distinct size so a posted message names its arrival.
+std::vector<FlowArrival> revisiting_arrivals() {
+  const std::pair<int, int> pairs[] = {{0, 1}, {1, 0}, {0, 1}, {2, 5},
+                                       {1, 0}, {5, 2}, {0, 1}, {4, 3}};
+  std::vector<FlowArrival> out;
+  std::int64_t bytes = 1000;
+  for (const auto& [src, dst] : pairs) {
+    out.push_back({sim::milliseconds(out.size() + 1), src, dst, bytes++});
+  }
+  return out;
+}
+
+TEST(TrafficSource, ChannelsAreKeyedByOrderedPairInFirstUseOrder) {
+  Rig rig;
+  RecordingBackend backend;
+  rig.cluster.set_backend(&backend);
+  traffic::TrafficSource source(rig.sim, rig.cluster, rig.hosts(),
+                                traffic::SourceOptions{reno(), {}, {}});
+  source.install(revisiting_arrivals());
+  // Serial replay creates channels lazily: none before the first arrival.
+  EXPECT_TRUE(backend.opened.empty());
+  rig.sim.run_until(sim::milliseconds(20));
+
+  const auto host = [&rig](int i) {
+    return rig.hosts()[static_cast<std::size_t>(i)]->id();
+  };
+  // (a,b) and (b,a) are distinct channels, a repeated pair reuses its
+  // channel, and ids follow first use.
+  const std::vector<RecordingBackend::Opened> want = {
+      {host(0), host(1), 1}, {host(1), host(0), 2}, {host(2), host(5), 3},
+      {host(5), host(2), 4}, {host(4), host(3), 5}};
+  EXPECT_EQ(backend.opened, want);
+  const std::map<std::int64_t, net::FlowId> posted = {
+      {1000, 1}, {1001, 2}, {1002, 1}, {1003, 3},
+      {1004, 2}, {1005, 4}, {1006, 1}, {1007, 5}};
+  EXPECT_EQ(backend.channel_of_bytes, posted);
+  EXPECT_EQ(source.posted(), 8u);
+}
+
+TEST(TrafficSource, LaneInstallResolvesTheSerialChannels) {
+  const auto run = [](bool lanes) {
+    Rig rig;
+    RecordingBackend backend;
+    rig.cluster.set_backend(&backend);
+    traffic::TrafficSource source(rig.sim, rig.cluster, rig.hosts(),
+                                  traffic::SourceOptions{reno(), {}, {}});
+    pdes::PartitionOptions opts;
+    opts.shards = lanes ? 2 : 1;
+    const pdes::Partition part =
+        pdes::partition_topology(*rig.d.topology, opts);
+    rig.sim.configure_shards(part.shards);
+    if (lanes) {
+      EXPECT_EQ(part.shards, 2);
+      source.set_lane_map(
+          [&part](const net::Host* h) { return part.shard_of(h); },
+          part.shards);
+    }
+    source.install(revisiting_arrivals());
+    // Lane mode pre-creates every channel at install().
+    EXPECT_EQ(backend.opened.size(), lanes ? 5u : 0u);
+    pdes::ShardedRunner runner(rig.sim, *rig.d.topology, part,
+                               pdes::ShardedRunner::Mode::kCooperative);
+    runner.run_until(sim::milliseconds(20));
+    EXPECT_EQ(source.posted(), 8u);
+    return std::make_pair(backend.opened, backend.channel_of_bytes);
+  };
+  const auto serial = run(false);
+  const auto laned = run(true);
+  EXPECT_EQ(laned.first, serial.first);
+  EXPECT_EQ(laned.second, serial.second);
+  EXPECT_EQ(serial.second.size(), 8u);
 }
 
 // ------------------------------------------------------------------- jobs
