@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <deque>
 #include <limits>
 
 #include "core/mltcp.hpp"
@@ -63,9 +62,14 @@ bool resolve_route(net::Host* src, net::Host* dst, net::FlowId flow,
 /// it completes — and both settle instants and rate values are invariant
 /// between the incremental and full-recompute allocation modes, which is
 /// what keeps the two bit-identical.
+///
+/// Layout: the fields the dirty closure, the water-fill and the commit read
+/// come first, so they share the object's leading cache lines; the queue is
+/// two indices into the owner's message pool; route endpoints and other
+/// fields read once per message or per reroute come last.
 class FlowSimulator::FlowChannel final : public workload::Channel {
  public:
-  enum class State {
+  enum class State : std::uint8_t {
     kIdle,      ///< No message in flight.
     kSending,   ///< Head message serializing at rate_.
     kDraining,  ///< All bytes serialized; last byte propagating.
@@ -74,16 +78,16 @@ class FlowSimulator::FlowChannel final : public workload::Channel {
   FlowChannel(FlowSimulator& owner, net::Host* src, net::Host* dst,
               net::FlowId id, std::int32_t ordinal,
               std::shared_ptr<const core::AggressivenessFunction> f)
-      : owner_(owner),
-        src_(src),
-        dst_(dst),
+      : ordinal_(ordinal),
+        f_(std::move(f)),
         id_(id),
-        ordinal_(ordinal),
-        f_(std::move(f)) {}
+        owner_(owner),
+        src_(src),
+        dst_(dst) {}
 
   void send_message(std::int64_t bytes, Completion on_complete) override {
     assert(bytes >= 0);
-    queue_.push_back(Message{bytes, std::move(on_complete)});
+    owner_.push_message(this, bytes, std::move(on_complete));
     ++owner_.stats_.messages_posted;
     // A busy channel needs no recompute: the new message queues FIFO
     // behind the head and the allocation is untouched until it starts.
@@ -100,11 +104,6 @@ class FlowSimulator::FlowChannel final : public workload::Channel {
   friend class FlowSimulator;
   friend struct FlowSimulator::HeapPosOf;
 
-  struct Message {
-    std::int64_t bytes = 0;
-    Completion done;
-  };
-
   /// Current max-min weight: F(bytes_ratio) of the in-flight message for
   /// MLTCP channels, the neutral 1.0 otherwise. Clamped away from zero so a
   /// pathological F cannot starve the water-filling loop. Reads remaining_,
@@ -117,39 +116,46 @@ class FlowSimulator::FlowChannel final : public workload::Channel {
     return std::max((*f_)(ratio), 1e-6);
   }
 
-  FlowSimulator& owner_;
-  net::Host* src_;
-  net::Host* dst_;
-  net::FlowId id_;
-  std::int32_t ordinal_;  ///< Creation index: the canonical channel order.
-  std::shared_ptr<const core::AggressivenessFunction> f_;
+  bool queue_empty() const { return msg_head_ < 0; }
 
-  std::deque<Message> queue_;  ///< Head = in-flight message (when busy).
-  State state_ = State::kIdle;
-  double total_ = 0.0;      ///< Bytes of the head message.
-  double remaining_ = 0.0;  ///< Bytes not yet sent, as of settled_at_.
-  double rate_ = 0.0;       ///< Allocated rate, bytes/second.
-  double new_rate_ = 0.0;   ///< Water-filling output staging.
-  double weight_ = 1.0;     ///< Weight used by the current allocation.
-  sim::SimTime settled_at_ = 0;   ///< Instant remaining_ is accurate for.
-  sim::SimTime drain_until_ = 0;  ///< Last-byte arrival (kDraining).
-  sim::SimTime next_refresh_ = 0;  ///< MLTCP weight-refresh deadline.
-  bool stalled_ = false;  ///< Route dead/unroutable; waiting on topology.
-  bool in_start_queue_ = false;
-  bool frozen_ = false;      ///< Water-filling scratch.
-  bool in_members_ = false;  ///< Present in the per-link member lists.
+  std::int32_t ordinal_;  ///< Creation index: the canonical channel order.
   std::uint32_t visit_epoch_ = 0;  ///< Dirty-closure BFS mark.
 
   /// Resolved route as a (base, len) span into the owner's route_pool_
   /// (dense link indices) and slot_pool_ (member-list positions).
   std::int32_t route_base_ = 0;
   std::int32_t route_len_ = 0;
-  std::int32_t route_cap_ = 0;
-  sim::SimTime route_delay_ = 0;  ///< Sum of propagation delays en route.
+
+  double weight_ = 1.0;     ///< Weight used by the current allocation.
+  double new_rate_ = 0.0;   ///< Water-filling output staging.
+  double rate_ = 0.0;       ///< Allocated rate, bytes/second.
+  double remaining_ = 0.0;  ///< Bytes not yet sent, as of settled_at_.
+  double total_ = 0.0;      ///< Bytes of the head message.
+  sim::SimTime settled_at_ = 0;    ///< Instant remaining_ is accurate for.
+  sim::SimTime next_refresh_ = 0;  ///< MLTCP weight-refresh deadline.
+  std::shared_ptr<const core::AggressivenessFunction> f_;
+
+  State state_ = State::kIdle;
+  bool frozen_ = false;   ///< Water-filling scratch.
+  bool stalled_ = false;  ///< Route dead/unroutable; waiting on topology.
+  bool in_members_ = false;  ///< Present in the per-link member lists.
+  bool in_start_queue_ = false;
   bool route_valid_ = false;
 
   std::int32_t heap_pos_ = -1;  ///< Slot in the drain heap (-1 = absent).
   std::int32_t busy_pos_ = -1;  ///< Slot in busy_ (-1 = not busy).
+  std::int32_t route_cap_ = 0;  ///< Pool slots the route span owns.
+  /// Message FIFO in the owner's message_pool_ (-1 = empty). The head is
+  /// the in-flight message while the channel is busy.
+  std::int32_t msg_head_ = -1;
+  std::int32_t msg_tail_ = -1;
+
+  net::FlowId id_;
+  FlowSimulator& owner_;
+  net::Host* src_;
+  net::Host* dst_;
+  sim::SimTime drain_until_ = 0;  ///< Last-byte arrival (kDraining).
+  sim::SimTime route_delay_ = 0;  ///< Sum of propagation delays en route.
 };
 
 std::int32_t& FlowSimulator::HeapPosOf::operator()(FlowChannel* ch) const {
@@ -322,6 +328,7 @@ void FlowSimulator::ensure_link_arrays() {
   link_members_.resize(n);
   link_residual_.resize(n, 0.0);
   link_weight_sum_.resize(n, 0.0);
+  link_share_.resize(n, 0.0);
   link_active_.resize(n, 0);
   link_dirty_.resize(n, 0);
   refresh_capacities();
@@ -334,7 +341,7 @@ void FlowSimulator::refresh_capacities() {
 }
 
 bool FlowSimulator::resolve_route_span(FlowChannel* ch) {
-  std::vector<const net::Link*> links;
+  std::vector<const net::Link*>& links = route_scratch_;
   sim::SimTime delay = 0;
   const bool ok = resolve_route(ch->src_, ch->dst_, ch->id_,
                                 topo_.links().size(), links, delay);
@@ -357,6 +364,53 @@ bool FlowSimulator::resolve_route_span(FlowChannel* ch) {
   }
   ch->route_valid_ = true;
   return true;
+}
+
+void FlowSimulator::push_message(FlowChannel* ch, std::int64_t bytes,
+                                 workload::Channel::Completion done) {
+  std::int32_t idx = message_free_;
+  if (idx >= 0) {
+    MessageNode& node = message_pool_[static_cast<std::size_t>(idx)];
+    message_free_ = node.next;
+    node.bytes = bytes;
+    node.done = std::move(done);
+    node.next = -1;
+  } else {
+    idx = static_cast<std::int32_t>(message_pool_.size());
+    message_pool_.push_back(MessageNode{bytes, std::move(done), -1});
+  }
+  if (ch->msg_tail_ >= 0) {
+    message_pool_[static_cast<std::size_t>(ch->msg_tail_)].next = idx;
+  } else {
+    ch->msg_head_ = idx;
+  }
+  ch->msg_tail_ = idx;
+}
+
+workload::Channel::Completion FlowSimulator::pop_message(FlowChannel* ch) {
+  const std::int32_t idx = ch->msg_head_;
+  assert(idx >= 0);
+  MessageNode& node = message_pool_[static_cast<std::size_t>(idx)];
+  workload::Channel::Completion done = std::move(node.done);
+  node.done = nullptr;
+  ch->msg_head_ = node.next;
+  if (ch->msg_head_ < 0) ch->msg_tail_ = -1;
+  node.next = message_free_;
+  message_free_ = idx;
+  return done;
+}
+
+void FlowSimulator::sort_by_ordinal(std::vector<FlowChannel*>& chans) {
+  sort_keys_.clear();
+  for (std::size_t i = 0; i < chans.size(); ++i) {
+    sort_keys_.push_back(
+        static_cast<std::uint64_t>(chans[i]->ordinal_) << 32 | i);
+  }
+  std::sort(sort_keys_.begin(), sort_keys_.end());
+  sort_scratch_.assign(chans.begin(), chans.end());
+  for (std::size_t i = 0; i < chans.size(); ++i) {
+    chans[i] = sort_scratch_[sort_keys_[i] & 0xffffffffu];
+  }
 }
 
 void FlowSimulator::mark_link_dirty(std::int32_t li) {
@@ -568,10 +622,7 @@ void FlowSimulator::reallocate(sim::SimTime now) {
     // Canonical order: the full-recompute reference and any dirty closure
     // seed the fill in channel-creation order, so a component's arithmetic
     // is the same operation sequence no matter which mode ran it.
-    std::sort(affected_.begin(), affected_.end(),
-              [](const FlowChannel* a, const FlowChannel* b) {
-                return a->ordinal_ < b->ordinal_;
-              });
+    sort_by_ordinal(affected_);
     stats_.waterfill_channels += static_cast<std::int64_t>(affected_.size());
     stats_.frozen_skips +=
         sending_count_ - static_cast<std::int64_t>(affected_.size());
@@ -593,27 +644,36 @@ void FlowSimulator::reallocate(sim::SimTime now) {
       }
     }
     stats_.dirty_links += static_cast<std::int64_t>(used_links_.size());
+    for (const std::int32_t li : used_links_) {
+      const auto l = static_cast<std::size_t>(li);
+      link_share_[l] = std::max(link_residual_[l], 0.0) / link_weight_sum_[l];
+    }
 
     // Weighted max-min water-filling: repeatedly find the tightest link
     // (smallest residual capacity per unit of unfrozen weight), freeze its
     // flows at weight * share, and charge their rates to every other link
     // on their routes. Rates stage into new_rate_ so an unchanged result
     // leaves the channel — its settle account and its heap entry — alone.
+    // A link's share is recomputed only when a freeze charges it, and the
+    // scan drops links with no unfrozen flow left in place; the compaction
+    // is stable, so the first-minimum tie-break sees the same link order
+    // as a scan over every touched link would.
     std::size_t unfrozen = affected_.size();
     while (unfrozen > 0) {
       ++stats_.waterfill_rounds;
       double min_share = std::numeric_limits<double>::infinity();
       std::int32_t bottleneck = -1;
+      std::size_t kept = 0;
       for (const std::int32_t li : used_links_) {
         const auto l = static_cast<std::size_t>(li);
         if (link_active_[l] <= 0) continue;
-        const double share =
-            std::max(link_residual_[l], 0.0) / link_weight_sum_[l];
-        if (share < min_share) {
-          min_share = share;
+        used_links_[kept++] = li;
+        if (link_share_[l] < min_share) {
+          min_share = link_share_[l];
           bottleneck = li;
         }
       }
+      used_links_.resize(kept);
       assert(bottleneck >= 0 && "unfrozen flows imply an unfrozen link");
       if (bottleneck < 0) break;
       const LinkList& list =
@@ -629,7 +689,10 @@ void FlowSimulator::reallocate(sim::SimTime now) {
               static_cast<std::size_t>(route_pool_[ch->route_base_ + h]);
           link_residual_[l] -= ch->new_rate_;
           link_weight_sum_[l] -= ch->weight_;
-          link_active_[l] -= 1;
+          if (--link_active_[l] > 0) {
+            link_share_[l] =
+                std::max(link_residual_[l], 0.0) / link_weight_sum_[l];
+          }
         }
       }
     }
@@ -691,10 +754,7 @@ void FlowSimulator::on_timer() {
   while (!drain_heap_.empty() && drain_heap_.min_key() <= now) {
     due_.push_back(drain_heap_.pop_min());
   }
-  std::sort(due_.begin(), due_.end(),
-            [](const FlowChannel* a, const FlowChannel* b) {
-              return a->ordinal_ < b->ordinal_;
-            });
+  sort_by_ordinal(due_);
 
   completed_scratch_.clear();
   for (FlowChannel* ch : due_) {
@@ -741,9 +801,9 @@ void FlowSimulator::on_timer() {
   }
 
   for (FlowChannel* ch : completed_scratch_) {
-    assert(!ch->queue_.empty());
-    FlowChannel::Message msg = std::move(ch->queue_.front());
-    ch->queue_.pop_front();
+    // The node goes back to the free list before the callback runs: a post
+    // from inside the callback may reuse it or grow the pool.
+    const workload::Channel::Completion done = pop_message(ch);
     ch->state_ = FlowChannel::State::kIdle;
     ch->total_ = ch->remaining_ = 0.0;
     busy_remove(ch);
@@ -751,9 +811,9 @@ void FlowSimulator::on_timer() {
     // The callback may post new messages (request/response patterns do,
     // synchronously); they land in start_queue_ and enter this same
     // timestamp's allocation.
-    if (msg.done) msg.done(now);
+    if (done) done(now);
     // FIFO backlog on this channel: restart via the same start path.
-    if (!ch->queue_.empty() && !ch->in_start_queue_) {
+    if (!ch->queue_empty() && !ch->in_start_queue_) {
       ch->in_start_queue_ = true;
       start_queue_.push_back(ch);
     }
@@ -792,12 +852,12 @@ void FlowSimulator::on_timer() {
 
   for (FlowChannel* ch : start_queue_) {
     ch->in_start_queue_ = false;
-    if (ch->state_ != FlowChannel::State::kIdle || ch->queue_.empty()) {
+    if (ch->state_ != FlowChannel::State::kIdle || ch->queue_empty()) {
       continue;
     }
     ch->state_ = FlowChannel::State::kSending;
-    ch->total_ = ch->remaining_ =
-        static_cast<double>(ch->queue_.front().bytes);
+    ch->total_ = ch->remaining_ = static_cast<double>(
+        message_pool_[static_cast<std::size_t>(ch->msg_head_)].bytes);
     ch->rate_ = 0.0;
     ch->settled_at_ = now;
     ch->stalled_ = false;

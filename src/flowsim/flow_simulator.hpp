@@ -24,9 +24,6 @@ struct FlowSimConfig {
   /// packet backend updates the gain every ACK; this is the fluid analogue
   /// at a coarser, configurable grain.
   sim::SimTime weight_refresh = sim::milliseconds(20);
-  /// Fraction of a link's capacity below which residual capacity is treated
-  /// as exhausted by the water-filling loop (guards float drift).
-  double capacity_epsilon = 1e-9;
   /// Escape hatch: water-fill the whole fabric on every recompute instead
   /// of only the dirty region — the reference the incremental path is
   /// differentially tested against. Model output (rates, completion times)
@@ -129,6 +126,10 @@ class FlowSimulator : public workload::Backend {
   /// Total channels created.
   std::size_t channel_count() const { return channels_.size(); }
 
+  /// Nodes in the shared message pool, queued and free alike: the most
+  /// messages ever queued at once, since freed nodes are reused.
+  std::size_t message_pool_size() const { return message_pool_.size(); }
+
  private:
   class FlowChannel;
   friend class FlowChannel;
@@ -144,6 +145,14 @@ class FlowSimulator : public workload::Backend {
     FlowChannel* ch = nullptr;
     std::int32_t hop = 0;
   };
+  /// One queued message: a node of the shared message pool, linked into its
+  /// channel's FIFO (or into the free list) through `next`.
+  struct MessageNode {
+    std::int64_t bytes = 0;
+    workload::Channel::Completion done;
+    std::int32_t next = -1;
+  };
+
   /// Per-link flow list: a (base, size, capacity) window into the shared
   /// member pool. Blocks are power-of-two sized and recycled through
   /// per-class free lists, so growing lists never leak pool space and the
@@ -177,6 +186,17 @@ class FlowSimulator : public workload::Backend {
   /// Returns false (and leaves the span empty) when no complete path
   /// exists.
   bool resolve_route_span(FlowChannel* ch);
+
+  /// Appends a message to the channel's FIFO, reusing a free pool node.
+  void push_message(FlowChannel* ch, std::int64_t bytes,
+                    workload::Channel::Completion done);
+  /// Unlinks the channel's head message, returns its node to the free list
+  /// and hands back its completion.
+  workload::Channel::Completion pop_message(FlowChannel* ch);
+
+  /// Sorts channels into creation (ordinal) order on integer keys, so the
+  /// comparator never dereferences a channel.
+  void sort_by_ordinal(std::vector<FlowChannel*>& chans);
 
   void mark_link_dirty(std::int32_t li);
   void mark_route_dirty(const FlowChannel* ch);
@@ -216,6 +236,14 @@ class FlowSimulator : public workload::Backend {
   /// crossed link's member list).
   std::vector<std::int32_t> route_pool_;
   std::vector<std::int32_t> slot_pool_;
+  std::vector<const net::Link*> route_scratch_;  ///< resolve_route output.
+
+  /// Every channel's queued messages, as singly linked FIFOs threaded
+  /// through one pool; a channel holds only its head and tail indices, so
+  /// an idle channel owns no message memory. Freed nodes form a LIFO free
+  /// list headed by message_free_ (-1 = empty).
+  std::vector<MessageNode> message_pool_;
+  std::int32_t message_free_ = -1;
 
   /// link -> sending flows crossing it, the adjacency the dirty-set closure
   /// and the water-fill both walk.
@@ -226,8 +254,13 @@ class FlowSimulator : public workload::Backend {
   /// Water-fill scratch (sized to links, reused across recomputes).
   std::vector<double> link_residual_;
   std::vector<double> link_weight_sum_;
+  /// max(residual, 0) / weight_sum, refreshed whenever a freeze charges the
+  /// link, so a bottleneck scan divides nothing.
+  std::vector<double> link_share_;
   std::vector<std::int32_t> link_active_;
-  std::vector<std::int32_t> used_links_;  ///< Links touched this pass.
+  /// Links touched this pass; the water-fill compacts away (stably) the
+  /// ones left with no unfrozen flow.
+  std::vector<std::int32_t> used_links_;
 
   /// Dirty-region bookkeeping.
   std::vector<std::uint8_t> link_dirty_;
@@ -235,9 +268,10 @@ class FlowSimulator : public workload::Backend {
   bool dirty_all_ = false;
 
   std::vector<FlowChannel*> affected_;  ///< Closure of this pass.
-  std::vector<double> prev_rate_;       ///< Rates before this pass's fill.
   std::vector<FlowChannel*> due_;       ///< Heap entries popped this firing.
   std::vector<FlowChannel*> completed_scratch_;
+  std::vector<std::uint64_t> sort_keys_;  ///< sort_by_ordinal scratch.
+  std::vector<FlowChannel*> sort_scratch_;  ///< sort_by_ordinal scratch.
   std::uint32_t visit_epoch_ = 0;
 
   DrainHeap drain_heap_;

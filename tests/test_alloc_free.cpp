@@ -4,7 +4,8 @@
 // bytes) by replacing it, so any hidden allocation on the hot path — a
 // std::function fallback, a node-based container, a vector regrowth —
 // fails the test instead of shipping as a per-event cost, and a table sized
-// by the wrong quantity fails on its byte count.
+// by the wrong quantity fails on its byte count. The counters are shared
+// with the rest of the test binary through alloc_counter.hpp.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <new>
 #include <type_traits>
 
+#include "alloc_counter.hpp"
 #include "net/node.hpp"
 #include "net/queue.hpp"
 #include "net/topology.hpp"
@@ -57,6 +59,9 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+std::uint64_t mltcp::alloc_stats::count() { return g_alloc_count.load(); }
+std::uint64_t mltcp::alloc_stats::bytes() { return g_alloc_bytes.load(); }
 
 namespace mltcp {
 namespace {

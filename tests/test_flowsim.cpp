@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/aggressiveness.hpp"
 #include "core/mltcp.hpp"
 #include "flowsim/flow_simulator.hpp"
@@ -183,6 +184,156 @@ TEST(FlowsimMaxMin, ChannelIsFifoLikeAConnection) {
   const double one = 8.0 * 10'000'000 / 1e9;
   EXPECT_NEAR(sim::to_seconds(first), one, 0.01 * one);
   EXPECT_NEAR(sim::to_seconds(second), 2 * one, 0.01 * one);
+}
+
+// ------------------------------------------------------------ message pool
+
+/// Completion instant of one `bytes` message posted at time 0 on an idle
+/// channel that has the dumbbell bottleneck to itself.
+sim::SimTime lone_message_instant(std::int64_t bytes) {
+  FluidRig rig;
+  workload::Channel* ch =
+      rig.cluster.add_channel({rig.d.left[0], rig.d.right[0], 0}, reno());
+  sim::SimTime done = -1;
+  ch->send_message(bytes, [&done](sim::SimTime t) { done = t; });
+  rig.sim.run_until(sim::seconds(5));
+  return done;
+}
+
+TEST(FlowsimMessagePool, QueuedMessagesCompleteInFifoOrderAtSerialInstants) {
+  // Four messages queued at once on one channel: each starts the instant
+  // its predecessor completes, so the gaps between completions are exactly
+  // the lone-message instants, in posting order.
+  const std::vector<std::int64_t> sizes = {3'000'000, 1'000'000, 2'500'000,
+                                           500'000};
+  FluidRig rig;
+  workload::Channel* ch =
+      rig.cluster.add_channel({rig.d.left[0], rig.d.right[0], 0}, reno());
+  std::vector<std::size_t> order;
+  std::vector<sim::SimTime> at;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    ch->send_message(sizes[i], [&order, &at, i](sim::SimTime t) {
+      order.push_back(i);
+      at.push_back(t);
+    });
+  }
+  rig.sim.run_until(sim::seconds(5));
+  ASSERT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+  sim::SimTime prev = 0;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(at[i] - prev, lone_message_instant(sizes[i]))
+        << "message " << i << " did not start when its predecessor ended";
+    prev = at[i];
+  }
+  EXPECT_EQ(rig.fs->message_pool_size(), sizes.size());
+}
+
+TEST(FlowsimMessagePool, CallbackPostsJoinTheSameTimestampsAllocation) {
+  // Reference: two equal messages on two channels, posted together at 0.
+  constexpr std::int64_t kBytes = 4'000'000;
+  sim::SimTime pair_instant = -1;
+  std::int64_t pair_recomputes = 0;
+  {
+    FluidRig rig;
+    workload::Channel* a =
+        rig.cluster.add_channel({rig.d.left[0], rig.d.right[0], 0}, reno());
+    workload::Channel* b =
+        rig.cluster.add_channel({rig.d.left[1], rig.d.right[1], 0}, reno());
+    a->send_message(kBytes, [&](sim::SimTime t) { pair_instant = t; });
+    b->send_message(kBytes, [](sim::SimTime) {});
+    rig.sim.run_until(sim::seconds(5));
+    pair_recomputes = rig.fs->stats().recomputes;
+  }
+  ASSERT_GT(pair_instant, 0);
+
+  // The same pair, posted from inside a completion callback: one post on
+  // the completing channel itself, one on another channel. Both must start
+  // in the pass that runs the callback, so the rest of the run replays the
+  // reference exactly, shifted by the callback's instant.
+  FluidRig rig;
+  workload::Channel* a =
+      rig.cluster.add_channel({rig.d.left[0], rig.d.right[0], 0}, reno());
+  workload::Channel* b =
+      rig.cluster.add_channel({rig.d.left[1], rig.d.right[1], 0}, reno());
+  sim::SimTime posted_at = -1;
+  std::int64_t recomputes_at_post = 0;
+  sim::SimTime done_a = -1;
+  sim::SimTime done_b = -1;
+  a->send_message(1'000'000, [&](sim::SimTime t) {
+    posted_at = t;
+    recomputes_at_post = rig.fs->stats().recomputes;
+    a->send_message(kBytes, [&](sim::SimTime u) { done_a = u; });
+    b->send_message(kBytes, [&](sim::SimTime u) { done_b = u; });
+  });
+  rig.sim.run_until(sim::seconds(5));
+  ASSERT_GT(posted_at, 0);
+  EXPECT_EQ(done_a, posted_at + pair_instant)
+      << "the self-post did not start in the callback's allocation";
+  EXPECT_EQ(done_b, posted_at + pair_instant)
+      << "the cross-channel post did not start in the callback's allocation";
+  EXPECT_EQ(rig.fs->stats().recomputes - recomputes_at_post, pair_recomputes);
+  // The completed message's node was free before the callback posted, so
+  // the two posts needed one new node between them.
+  EXPECT_EQ(rig.fs->message_pool_size(), 2u);
+}
+
+TEST(FlowsimMessagePool, FreedNodesAreReusedWithoutGrowth) {
+  // Two messages in flight on one channel at a time, 10k messages in all:
+  // the pool never holds more than two nodes, and once warm the post /
+  // complete cycle allocates nothing.
+  FluidRig rig;
+  workload::Channel* ch =
+      rig.cluster.add_channel({rig.d.left[0], rig.d.right[0], 0}, reno());
+  std::int64_t completed = 0;
+  const auto cycle = [&](int pairs) {
+    for (int i = 0; i < pairs; ++i) {
+      ch->send_message(10'000, [&completed](sim::SimTime) { ++completed; });
+      ch->send_message(20'000, [&completed](sim::SimTime) { ++completed; });
+      rig.sim.run_until(rig.sim.now() + sim::milliseconds(1));
+    }
+  };
+  cycle(100);  // Warmup: pool, heap and scratch vectors reach steady state.
+  const std::size_t pool = rig.fs->message_pool_size();
+  const std::uint64_t before = alloc_stats::count();
+  cycle(5'000);
+  const std::uint64_t allocs = alloc_stats::count() - before;
+  EXPECT_EQ(completed, 10'200);
+  EXPECT_EQ(pool, 2u);
+  EXPECT_EQ(rig.fs->message_pool_size(), pool)
+      << "freed message nodes were not reused";
+  EXPECT_EQ(allocs, 0u) << "the steady post/complete cycle allocated";
+}
+
+TEST(FlowsimMessagePool, IdleChannelFootprintIsBounded) {
+  // 4,096 channels, each carrying one message posted and drained in turn.
+  // What the backend allocates per channel is the channel object, the
+  // congestion-control probe of create_channel and a share of the channel
+  // table and the route pools (about 340 B on x86-64 GCC). A per-channel
+  // message container (a std::deque costs 576 B at construction) breaks
+  // the bound.
+  constexpr int kChannels = 4096;
+  constexpr std::uint64_t kBytesPerChannel = 448;
+  FluidRig rig;
+  workload::ChannelSpec spec;
+  spec.src = rig.d.left[0];
+  spec.dst = rig.d.right[0];
+  spec.cc = reno();
+  const std::uint64_t before = alloc_stats::bytes();
+  std::vector<workload::Channel*> chans;
+  chans.reserve(kChannels);
+  for (int i = 0; i < kChannels; ++i) {
+    spec.id = i;
+    chans.push_back(rig.fs->create_channel(spec));
+  }
+  std::int64_t completed = 0;
+  for (workload::Channel* ch : chans) {
+    ch->send_message(1'000, [&completed](sim::SimTime) { ++completed; });
+    rig.sim.run_until(rig.sim.now() + sim::milliseconds(1));
+  }
+  const std::uint64_t bytes = alloc_stats::bytes() - before;
+  EXPECT_EQ(completed, kChannels);
+  EXPECT_LT(bytes / kChannels, kBytesPerChannel)
+      << bytes << " bytes for " << kChannels << " channels";
 }
 
 // --------------------------------------------------------------- ECMP parity
